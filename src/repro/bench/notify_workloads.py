@@ -102,7 +102,7 @@ def notified_halo_time(
         alloc, tmems = yield from ctx.rma.expose_collective(2 * halo_bytes)
         left = (ctx.rank - 1) % ctx.size
         right = (ctx.rank + 1) % ctx.size
-        src = ctx.mem.space.alloc(halo_bytes, fill=ctx.rank)
+        src = ctx.mem.space.alloc(halo_bytes, fill=ctx.rank % 256)
         yield from ctx.comm.barrier()
         t0 = ctx.sim.now
         for _ in range(iterations):

@@ -364,7 +364,6 @@ def _metadata() -> Dict[str, Any]:
     """Record the fast-path toggles and numpy version alongside the run,
     so a benchmark artifact is self-describing about which optimizations
     were active when it was produced."""
-    from repro.mpi.nexus import CollectiveNexus
     from repro.network.nic import Nic
     from repro.rma.engine import RmaEngine
 
@@ -376,7 +375,6 @@ def _metadata() -> Dict[str, Any]:
     return {
         "train_enabled": RmaEngine.train_enabled,
         "burst_enabled": Nic.burst_enabled,
-        "nexus_enabled": CollectiveNexus.enabled,
         "shared_default": RmaEngine.shared_default,
         "numpy": numpy_version,
     }
@@ -405,11 +403,9 @@ def main(argv: Optional[list] = None) -> int:
                         help="relative sim-time drift tolerance for "
                              "--compare (default: %(default)s)")
     parser.add_argument("--no-train", action="store_true",
-                        help="disable the vectorized op-train fast path (the "
-                             "collective nexus, which requires it, then "
-                             "declines too); CI runs --compare both ways to "
-                             "pin that the fast paths never move simulated "
-                             "time")
+                        help="disable the vectorized op-train fast path; CI "
+                             "runs --compare both ways to pin that the fast "
+                             "paths never move simulated time")
     parser.add_argument("--ir-opt", action="store_true",
                         help="run only the pinned IR-optimization point: "
                              "the same program executed original vs "
@@ -462,8 +458,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"[perf] comparing simulated time against {args.compare} "
               f"(tolerance {args.tolerance:g}; train="
               f"{'on' if meta['train_enabled'] else 'off'} burst="
-              f"{'on' if meta['burst_enabled'] else 'off'} nexus="
-              f"{'on' if meta['nexus_enabled'] else 'off'} shm="
+              f"{'on' if meta['burst_enabled'] else 'off'} shm="
               f"{'on' if meta['shared_default'] else 'off'}) ...", flush=True)
         walls: Dict[str, tuple] = {}
         failures = compare_to_baseline(base_doc, tolerance=args.tolerance,

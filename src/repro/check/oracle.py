@@ -285,15 +285,22 @@ def check_program(result: RunResult) -> CheckReport:
                         pom.synchronize(chain, reader)
 
         # -- read-your-writes eligibility -------------------------------
+        # A read must see its rank's latest write only if that write is
+        # sequenced before the read *and* every earlier write is
+        # sequenced before its successor; otherwise (e.g. on an
+        # unordered fabric) an earlier write may land last.
         writers = {ops[i].rank for i in widx}
         if len(writers) == 1:
             (r,) = writers
+            unchained = next((b for a, b in zip(widx, widx[1:])
+                              if not seq.sequenced(a, b)), None)
             eligible = True
             for j in ridx:
                 if ops[j].rank != r:
                     continue
                 prior = [i for i in widx if i < j]
-                if prior and not seq.sequenced(prior[-1], j):
+                if prior and (not seq.sequenced(prior[-1], j)
+                              or (unchained is not None and unchained < j)):
                     eligible = False
                     break
             if eligible:

@@ -80,9 +80,12 @@ class AddressSpace:
         return self._bytes_allocated
 
     def alloc(self, nbytes: int, fill: int = 0) -> Allocation:
-        """Allocate ``nbytes``; returns a handle."""
+        """Allocate ``nbytes`` filled with the byte value ``fill``
+        (0..255); returns a handle."""
         if nbytes < 0:
             raise MemoryError_(f"negative allocation size: {nbytes}")
+        if not 0 <= fill <= 255:
+            raise MemoryError_(f"fill value {fill} is not a byte (0..255)")
         if nbytes >= 2 ** self.pointer_bits:
             raise MemoryError_(
                 f"{nbytes} bytes exceeds a {self.pointer_bits}-bit address space"

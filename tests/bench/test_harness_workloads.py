@@ -69,6 +69,11 @@ class TestHaloWorkload:
         with pytest.raises(ValueError, match="unknown sync mode"):
             halo_exchange_time("vibes", n_ranks=2, iterations=1)
 
+    def test_more_than_255_ranks(self):
+        # Byte fills wrap per rank, so worlds past one byte of rank ids
+        # still build their source buffers.
+        assert halo_exchange_time("strawman", n_ranks=300, iterations=1) > 0
+
 
 class TestHarness:
     def test_run_sweep_shapes(self):

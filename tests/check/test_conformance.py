@@ -10,6 +10,7 @@ disabled must surface a violation.
 import pytest
 
 from repro.check import check_program, generate_program, run_program
+from repro.check.config import RunConfig
 
 SWEEP_FABRICS = ("ordered", "unordered", "torus")
 SWEEP_SEEDS = (0, 7)
@@ -81,3 +82,14 @@ def test_chaos_runs_stay_conformant():
         result = run_program(program, "ordered", seed, chaos=0.03)
         report = check_program(result)
         assert report.ok, [str(v) for v in report.violations]
+
+
+@pytest.mark.parametrize("seed", [530, 634])
+def test_unordered_overtaking_is_not_a_ryw_violation(seed):
+    """Regression: on the unordered fabric a later put without the
+    `ordering` attribute may land before an earlier one, so a rank can
+    legally read its older write back.  These natural-generator seeds
+    used to be flagged as read-your-writes violations."""
+    config = RunConfig("unordered", seed)
+    report = config.check(config.generate())
+    assert report.ok, [str(v) for v in report.violations]

@@ -25,6 +25,11 @@ class TestAlloc:
         a = space.alloc(4, fill=7)
         assert space.buffer(a).tolist() == [7, 7, 7, 7]
 
+    @pytest.mark.parametrize("fill", [256, -1])
+    def test_fill_outside_byte_range_rejected(self, space, fill):
+        with pytest.raises(MemoryError_, match="0..255"):
+            space.alloc(4, fill=fill)
+
     def test_negative_size_rejected(self, space):
         with pytest.raises(MemoryError_):
             space.alloc(-1)

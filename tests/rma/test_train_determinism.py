@@ -1,5 +1,5 @@
-"""Determinism pins for the PR-6 fast paths: the vectorized op-train
-and the collective nexus.
+"""Determinism pins for the analytic fast paths: the vectorized op-train
+and the NIC burst path.
 
 Both are pure wall-clock optimizations — every simulated timestamp must
 be bit-identical with the fast path on or off, on every fabric, and the
@@ -7,14 +7,16 @@ eligibility gates must self-disable them (rather than drift) under
 tracing, faults, and routed topologies.  Each parity test runs the same
 workload twice, fast path off then on, and asserts float equality of
 the returned simulated times; positive-engagement tests pin that the
-fast paths actually fire on the configurations they claim to cover.
+train actually fires on the configurations it claims to cover.  Besides
+the fabric sweep, the parity inputs include collective-heavy halo shapes
+(8 KiB x10, a non-power-of-two world, and 1 KiB puts that land right
+behind a peer's flush) and fig2's ``ordering`` series.
 """
 
 import pytest
 
 from repro.bench.workloads import fig2_attribute_cost, halo_exchange_time
 from repro.faults import FaultPlan
-from repro.mpi.nexus import CollectiveNexus
 from repro.network.config import (
     generic_rdma,
     infiniband_like,
@@ -39,6 +41,34 @@ FABRICS = {
 }
 
 
+# Halo shapes beyond the fabric sweep, on the default fabric, keyed
+# ranks-bytes-iterations: dissemination barriers at 8 and 6 (non-power-
+# of-two, wrap-around partners) ranks, and 1 KiB puts that inject right
+# behind a peer's flush request.
+HALO_SCENARIOS = {
+    "8r-8K-x10": dict(n_ranks=8, halo_bytes=8192, iterations=10),
+    "6r-2K-x6": dict(n_ranks=6, halo_bytes=2048, iterations=6),
+    "8r-1K-x6": dict(n_ranks=8, halo_bytes=1024, iterations=6),
+}
+
+# fig2 attribute modes beyond the fabric sweep's ``remote_complete``, on
+# the default fabric.
+FIG2_SCENARIOS = ("ordering",)
+
+
+def _halo_case(case):
+    if case in FABRICS:
+        return dict(n_ranks=8, halo_bytes=4096, iterations=4,
+                    network=FABRICS[case]())
+    return dict(HALO_SCENARIOS[case])
+
+
+def _fig2_case(case):
+    if case in FABRICS:
+        return "remote_complete", dict(network=FABRICS[case]())
+    return case, {}
+
+
 def _with_train(enabled, workload):
     prev = RmaEngine.train_enabled
     RmaEngine.train_enabled = enabled
@@ -48,33 +78,39 @@ def _with_train(enabled, workload):
         RmaEngine.train_enabled = prev
 
 
-def _with_nexus(enabled, workload):
-    prev = CollectiveNexus.enabled
-    CollectiveNexus.enabled = enabled
+def _with_burst(enabled, workload):
+    prev = Nic.burst_enabled
+    Nic.burst_enabled = enabled
     try:
         return workload()
     finally:
-        CollectiveNexus.enabled = prev
+        Nic.burst_enabled = prev
 
 
 class TestTrainParityAcrossFabrics:
-    @pytest.mark.parametrize("fabric", sorted(FABRICS))
-    def test_halo_bit_identical(self, fabric):
+    @pytest.mark.parametrize("case", sorted(FABRICS) + sorted(HALO_SCENARIOS))
+    def test_halo_bit_identical(self, case):
         def run():
-            return halo_exchange_time(
-                "strawman", n_ranks=8, halo_bytes=4096, iterations=4,
-                network=FABRICS[fabric](),
-            )
+            return halo_exchange_time("strawman", **_halo_case(case))
         assert _with_train(True, run) == _with_train(False, run)
 
-    @pytest.mark.parametrize("fabric", sorted(FABRICS))
-    def test_fig2_bit_identical(self, fabric):
+    @pytest.mark.parametrize("case", sorted(FABRICS) + list(FIG2_SCENARIOS))
+    def test_fig2_bit_identical(self, case):
         def run():
-            return fig2_attribute_cost(
-                "remote_complete", 16384, puts_per_origin=10,
-                network=FABRICS[fabric](),
-            )
+            mode, kw = _fig2_case(case)
+            return fig2_attribute_cost(mode, 16384, puts_per_origin=10, **kw)
         assert _with_train(True, run) == _with_train(False, run)
+
+
+class TestBurstParity:
+    def test_halo_bit_identical(self):
+        # Collectives and completions ride the idle-NIC single-send and
+        # burst analytics; with the burst layer off every packet takes
+        # the injector process and the times must still match.
+        def run():
+            return halo_exchange_time("strawman", n_ranks=4,
+                                      halo_bytes=2048, iterations=4)
+        assert _with_burst(True, run) == _with_burst(False, run)
 
 
 class TestTrainSelfDisables:
@@ -153,105 +189,3 @@ class TestTrainEngages:
             return sum(ctx.rma.engine.stats["train_ops"]
                        for ctx in sink[0].contexts.values())
         assert _with_train(False, run) == 0
-
-
-class TestNexusParity:
-    def test_halo_bit_identical(self):
-        def run():
-            return halo_exchange_time("strawman", n_ranks=8,
-                                      halo_bytes=8192, iterations=10)
-        assert _with_nexus(True, run) == _with_nexus(False, run)
-
-    def test_halo_non_power_of_two_ranks(self):
-        # Dissemination rounds with a non-power-of-2 world hit the
-        # wrap-around partner pattern; the analytic replay must match.
-        def run():
-            return halo_exchange_time("strawman", n_ranks=6,
-                                      halo_bytes=2048, iterations=6)
-        assert _with_nexus(True, run) == _with_nexus(False, run)
-
-    def test_fig2_bit_identical(self):
-        def run():
-            return fig2_attribute_cost("ordering", 16384,
-                                       puts_per_origin=10)
-        assert _with_nexus(True, run) == _with_nexus(False, run)
-
-    def test_nexus_commits_on_halo(self):
-        from repro.bench.workloads import halo_exchange_time as halo
-
-        sink = []
-        # Same shape as the perf harness halo; steady-state windows
-        # close analytically (commits), the startup windows rescue.
-        from repro.runtime import World
-        from repro.datatypes import BYTE
-
-        world = World(n_ranks=8, network=seastar_portals(), seed=0)
-
-        def program(ctx):
-            alloc, tmems = yield from ctx.rma.expose_collective(2 * 8192)
-            src = ctx.mem.space.alloc(8192, fill=ctx.rank)
-            yield from ctx.comm.barrier()
-            right = (ctx.rank + 1) % ctx.size
-            left = (ctx.rank - 1) % ctx.size
-            for _ in range(10):
-                yield from ctx.rma.put(src, 0, 8192, BYTE,
-                                       tmems[right], 0, 8192, BYTE,
-                                       blocking=True)
-                yield from ctx.rma.put(src, 0, 8192, BYTE,
-                                       tmems[left], 8192, 8192, BYTE,
-                                       blocking=True)
-                yield from ctx.rma.complete_collective(ctx.comm)
-            yield from ctx.comm.barrier()
-
-        world.run(program)
-        assert world.nexus.commits > 0
-
-    def test_rescue_path_bit_identical_and_taken(self):
-        # Small halo payloads put a rank's next put after a parked
-        # peer's virtual flush arrival — the synchronous note_reserve
-        # rescue (and its backdated replay drain) must fire and still
-        # reproduce the naive timeline exactly.
-        from repro.datatypes import BYTE
-        from repro.runtime import World
-
-        def run():
-            world = World(n_ranks=8, network=seastar_portals(), seed=0)
-
-            def program(ctx):
-                alloc, tmems = yield from ctx.rma.expose_collective(2 * 1024)
-                src = ctx.mem.space.alloc(1024, fill=ctx.rank)
-                yield from ctx.comm.barrier()
-                right = (ctx.rank + 1) % ctx.size
-                left = (ctx.rank - 1) % ctx.size
-                for _ in range(6):
-                    yield from ctx.rma.put(src, 0, 1024, BYTE,
-                                           tmems[right], 0, 1024, BYTE,
-                                           blocking=True)
-                    yield from ctx.rma.put(src, 0, 1024, BYTE,
-                                           tmems[left], 1024, 1024, BYTE,
-                                           blocking=True)
-                    yield from ctx.rma.complete_collective(ctx.comm)
-                yield from ctx.comm.barrier()
-                return ctx.sim.now
-
-            out = world.run(program)
-            return out, world.nexus.rescues
-
-        on_out, on_rescues = _with_nexus(True, run)
-        off_out, _ = _with_nexus(False, run)
-        assert on_out == off_out
-        assert on_rescues > 0
-
-    def test_nexus_declines_when_burst_disabled(self):
-        # The nexus replays burst-path analytics; with the burst layer
-        # off it must decline (commits stay 0) and times still match.
-        def run():
-            return halo_exchange_time("strawman", n_ranks=4,
-                                      halo_bytes=2048, iterations=4)
-        prev = Nic.burst_enabled
-        Nic.burst_enabled = False
-        try:
-            no_burst = _with_nexus(True, run)
-        finally:
-            Nic.burst_enabled = prev
-        assert no_burst == _with_nexus(False, run)
