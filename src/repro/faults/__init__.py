@@ -2,11 +2,11 @@
 
 The paper's completion attributes are only interesting because real
 fabrics fail: packets are dropped, duplicated, delayed or corrupted,
-NIC injectors stall, and whole nodes die.  This package provides a
+NICs stall, and whole nodes die.  This package provides a
 seeded, fully reproducible fault model:
 
 - :class:`FaultPlan` — a declarative schedule of packet-level faults
-  (:class:`LossSpec`), NIC injector stalls (:class:`StallSpec`),
+  (:class:`LossSpec`), NIC serializer stalls (:class:`StallSpec`),
   rank kills/restarts (:class:`KillSpec`) and topology cable failures
   (:class:`LinkDownSpec`, routed fabrics only), plus the
   reliable-transport tuning knobs (:class:`TransportParams`);

@@ -72,7 +72,7 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class StallSpec:
-    """Freeze one rank's NIC injector for a window of simulated time."""
+    """Freeze one rank's NIC serializer for a window of simulated time."""
 
     rank: int
     start: float
@@ -213,7 +213,7 @@ class FaultPlan:
         return self.add(LossSpec(delay_p=p, delay_mean=mean, **kw))
 
     def stall(self, rank: int, start: float, duration: float) -> "FaultPlan":
-        """Freeze ``rank``'s NIC injector for ``duration`` µs."""
+        """Freeze ``rank``'s NIC serializer for ``duration`` µs."""
         self.stalls.append(StallSpec(rank, start, duration))
         return self
 

@@ -1,10 +1,13 @@
 """The network interface controller.
 
-Each rank owns a :class:`Nic`.  Sending goes through an injection queue
-drained by a NIC engine process that charges LogGP serialization
-(``max(g, bytes*G)``) per packet, then hands the packet to the fabric.
-``Packet.ev_injected`` triggers when serialization finishes — that is
-the *local completion* point of a transfer (the origin buffer is free).
+Each rank owns a :class:`Nic`.  Every packet goes through one
+serializer that charges LogGP serialization (``max(g, bytes*G)``) per
+packet, back to back, then hands the packet to the fabric.  It is
+callback-driven — one scheduled finish per packet, no process — and
+its closed form (:meth:`Nic.reserve`) times whole bursts and op-trains
+with the same float arithmetic.  ``Packet.ev_injected`` triggers when
+serialization finishes — that is the *local completion* point of a
+transfer (the origin buffer is free).
 
 On the receive side, packets are dispatched to handlers registered by
 kind.  Handlers model NIC hardware (RDMA deposit, tag-match DMA): they
@@ -15,12 +18,12 @@ serializer) is layered above by enqueueing work from inside a handler.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Sequence
 
 from repro.network.config import NetworkConfig
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import TransportParams
@@ -54,7 +57,7 @@ class UnknownPacketKind(RuntimeError):
 
 
 class Nic:
-    """One rank's NIC: injection engine + receive dispatch."""
+    """One rank's NIC: packet serializer + receive dispatch."""
 
     #: Master switch for the analytic burst path (see :meth:`send_burst`).
     #: The determinism regression tests flip this off to prove batched
@@ -66,20 +69,19 @@ class Nic:
         self.rank = rank
         self.fabric = fabric
         self.config: NetworkConfig = fabric.config
-        self._queue: Store = Store(sim)
         self._handlers: Dict[str, Callable[[Packet], None]] = {}
         self._default_handler: Optional[Callable[[Packet], None]] = None
-        # Injector occupancy: packets queued-or-serializing, and the time
-        # up to which an analytic burst has reserved the serializer (see
-        # send_burst).  The injector may not start serializing before
-        # _reserved_until — the burst already accounted for that wire time.
-        self._pending: int = 0
+        # The serializer is free from _reserved_until on: every packet,
+        # burst and op-train books it from max(now, _reserved_until) up
+        # to its own injection time.  A stall pushes it out too, and
+        # holds packets sent before it lifts in _held (see stall_until).
         self._reserved_until: float = 0.0
+        self._stalled_until: float = 0.0
+        self._held: Deque[Packet] = deque()
         #: Reliable transport, armed only for fault-injection runs (see
         #: :meth:`enable_reliability`); ``None`` keeps every fast path.
         self.transport: "ReliableTransport | None" = None
         fabric.attach(rank, self._on_deliver)
-        self._engine = sim.spawn(self._injector(), name=f"nic-{rank}")
         # stats
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -100,15 +102,17 @@ class Nic:
         return self.transport
 
     def stall_until(self, until: float) -> None:
-        """Freeze the injector until simulated time ``until`` (fault
-        injection: a wedged NIC).  Packets already being serialized
-        finish; queued ones wait."""
+        """Freeze the serializer until simulated time ``until`` (fault
+        injection: a wedged NIC).  Packets already handed to the
+        serializer finish; packets sent before the stall lifts wait,
+        and start once it has — re-checked, so a stall extended
+        meanwhile holds them longer."""
         self._reserved_until = max(self._reserved_until, until)
+        self._stalled_until = max(self._stalled_until, until)
 
     def reinject(self, packet: Packet) -> None:
         """Requeue an already-prepared packet (transport retransmission)."""
-        self._pending += 1
-        self._queue.put(packet)
+        self._inject(packet)
 
     def path_degraded(self, dst: int) -> bool:
         """Whether persistent loss toward ``dst`` crossed the transport's
@@ -140,50 +144,93 @@ class Nic:
             and self.fabric.config_for(self.rank, packet.dst).remote_completion_events
         ):
             packet.ev_remote_complete = self.sim.event()
-        if (
-            self.burst_enabled
-            and self.transport is None
-            and self._pending == 0
-            and self.fabric.topology is None
-            and not self.fabric.tracer.enabled
-        ):
-            # Idle-injector analytic path: with nothing queued ahead, the
-            # injector would wake, wait out any serializer reservation,
-            # and charge exactly one serialization — all closed-form.  A
-            # single callback at the injection time replaces the Store
-            # hop and two process resumes; every simulated timestamp is
-            # identical to the injector's.
-            t = (
-                max(self.sim.now, self._reserved_until)
-                + self.config.serialization_time(packet.wire_bytes)
-            )
-            self._reserved_until = t
-            self.sim.schedule_call(t - self.sim.now, self._finish_single,
-                                   packet, t)
-            return packet
         if self.transport is not None:
             self.transport.prepare(packet)
-        self._pending += 1
-        self._queue.put(packet)
+        self._inject(packet)
         return packet
 
-    def _finish_single(self, packet: Packet, t: float) -> None:
+    def _inject(self, packet: Packet) -> None:
+        """The serializer.  A packet starts at ``max(now, reserved)`` —
+        right behind whatever already holds the wire — and one callback
+        at the end of its serialization injects it.  Only a stall holds
+        packets back, in FIFO order, until it lifts."""
+        sim = self.sim
+        now = sim.now
+        if self._held or now < self._stalled_until:
+            self._held.append(packet)
+            if len(self._held) == 1:
+                sim.schedule_call(self._stalled_until - now, self._release)
+            return
+        start = now if now > self._reserved_until else self._reserved_until
+        t = start + self.config.serialization_time(packet.wire_bytes)
+        self._reserved_until = t
+        sim.schedule_call(t - now, self._finish, packet, t)
+
+    def _release(self) -> None:
+        """A stall's end: re-inject every held packet (a stall extended
+        meanwhile holds them again)."""
+        held = self._held
+        self._held = deque()
+        for packet in held:
+            self._inject(packet)
+
+    def _finish(self, packet: Packet, t: float) -> None:
         self.packets_sent += 1
         self.bytes_sent += packet.wire_bytes
+        tracer = self.fabric.tracer
+        if tracer.enabled:
+            # Span milestone: serialization finished (the op's
+            # "inject" phase ends at the last fragment's record).
+            tracer.record(self.sim.now, "net", "inject",
+                          rank=self.rank, dst=packet.dst,
+                          kind_=packet.kind, op=packet.op_key(),
+                          bytes=packet.wire_bytes)
         ev = packet.ev_injected
         if ev is not None and not ev.triggered:
+            # Retransmits reuse the packet; only the first injection
+            # is the local-completion point.
             ev.succeed(t)
         self.fabric.transmit(packet)
+        transport = self.transport
+        if transport is not None and packet.flow_seq is not None:
+            transport.packet_injected(packet)
+
+    @property
+    def backlog(self) -> int:
+        """Packets waiting for a stall to lift.  A closed-form
+        reservation (:meth:`reserve`) may only chain behind the
+        serializer while this is zero — it cannot overtake them."""
+        return len(self._held)
+
+    def reserve(self, sers: "Sequence[float]", wire_bytes: int) -> "list[float]":
+        """Serialize back-to-back packets in closed form.
+
+        ``sers`` are the packets' serialization charges, ``wire_bytes``
+        their total size.  Books the serializer for all of them, counts
+        them as sent, and returns each one's injection time: the running
+        sum from ``max(now, reserved)`` — the same float sequence
+        :meth:`send` would produce for them, packet by packet.
+        """
+        t = self.sim.now
+        if t < self._reserved_until:
+            t = self._reserved_until
+        injects = []
+        for s in sers:
+            t += s
+            injects.append(t)
+        self._reserved_until = injects[-1]
+        self.packets_sent += len(sers)
+        self.bytes_sent += wire_bytes
+        return injects
 
     def send_burst(self, packets: "list[Packet]") -> "list[Packet]":
         """Queue a train of same-destination packets for injection.
 
-        When the injector is idle and the (src, dst) path is ordered and
-        untraced, the whole train is modeled analytically: injection
-        times are the running sum of per-packet serialization, the
-        serializer is reserved until the last one, and a single callback
-        finishes the burst (succeeding each ``ev_injected`` with its
-        analytic time) and hands the train to
+        When nothing waits on a stall and the (src, dst) path is ordered
+        and untraced, the whole train is modeled analytically:
+        :meth:`reserve` gives every injection time, and a single
+        callback finishes the burst (succeeding each ``ev_injected``
+        with its analytic time) and hands the train to
         :meth:`~repro.network.fabric.Fabric.transmit_burst`.  Simulated
         timestamps of every defined observable match the per-packet
         path; only the event count changes.  Otherwise falls back to
@@ -201,18 +248,16 @@ class Nic:
             or self.fabric.topology is not None
             or not path_cfg.ordered
             or self.fabric.tracer.enabled
-            or self._pending
+            or self._held
             or any(p.dst != dst for p in packets)
         ):
             for packet in packets:
                 self.send(packet)
             return packets
-        cfg = self.config
         ack_capable = path_cfg.remote_completion_events
-        # Chain off any standing reservation — exactly where the injector
-        # would start serializing the first packet.
-        t = max(self.sim.now, self._reserved_until)
-        inject_times = []
+        ser = self.config.serialization_time
+        sers = []
+        wire_bytes = 0
         for packet in packets:
             if packet.src != self.rank:
                 raise ValueError(
@@ -226,54 +271,19 @@ class Nic:
                 and packet.ev_remote_complete is None
             ):
                 packet.ev_remote_complete = self.sim.event()
-            t += cfg.serialization_time(packet.wire_bytes)
-            inject_times.append(t)
-        self._reserved_until = t
+            sers.append(ser(packet.wire_bytes))
+            wire_bytes += packet.wire_bytes
+        inject_times = self.reserve(sers, wire_bytes)
         self.sim.schedule_call(
-            t - self.sim.now, self._finish_burst, packets, inject_times
+            inject_times[-1] - self.sim.now, self._finish_burst, packets,
+            inject_times,
         )
         return packets
 
     def _finish_burst(self, packets, inject_times) -> None:
         for packet, t in zip(packets, inject_times):
-            self.packets_sent += 1
-            self.bytes_sent += packet.wire_bytes
             packet.ev_injected.succeed(t)
         self.fabric.transmit_burst(packets, inject_times)
-
-    def _injector(self):
-        while True:
-            packet: Packet = yield from self._queue.get()
-            while self.sim.now < self._reserved_until:
-                # A burst owns the serializer until then (or a fault has
-                # stalled the NIC); this packet waits its turn.
-                yield self.sim.timeout(self._reserved_until - self.sim.now)
-            yield self.sim.timeout(self.config.serialization_time(packet.wire_bytes))
-            self.packets_sent += 1
-            self.bytes_sent += packet.wire_bytes
-            self._pending -= 1
-            tracer = self.fabric.tracer
-            if tracer.enabled:
-                # Span milestone: serialization finished (the op's
-                # "inject" phase ends at the last fragment's record).
-                tracer.record(self.sim.now, "net", "inject",
-                              rank=self.rank, dst=packet.dst,
-                              kind_=packet.kind, op=packet.op_key(),
-                              bytes=packet.wire_bytes)
-            ev = packet.ev_injected
-            if ev is not None and not ev.triggered:
-                # Retransmits reuse the packet; only the first injection
-                # is the local-completion point.
-                ev.succeed(self.sim.now)
-            self.fabric.transmit(packet)
-            transport = self.transport
-            if transport is not None and packet.flow_seq is not None:
-                transport.packet_injected(packet)
-
-    @property
-    def queue_depth(self) -> int:
-        """Packets waiting for injection (diagnostic)."""
-        return len(self._queue)
 
     # -- receive path ----------------------------------------------------
     def register_handler(self, kind: str, fn: Callable[[Packet], None]) -> None:

@@ -170,10 +170,10 @@ class ReliableTransport:
 
     def packet_injected(self, packet: Packet) -> None:
         """Arm (or re-arm) the retransmission timer; called by the NIC
-        injector after handing the packet to the fabric."""
+        after handing the packet to the fabric."""
         entry = self._outstanding.get((packet.dst, packet.flow_seq))
         if entry is None:
-            return  # acked while a retransmit sat in the injection queue
+            return  # acked while a retransmit waited for the serializer
         entry.attempts += 1
         packet.attempts = entry.attempts
         entry.timer_gen += 1

@@ -55,7 +55,7 @@ from repro.machine.config import MachineConfig, MachineTimings
 from repro.machine.node import RankMemory
 from repro.mpi.request import Request
 from repro.network.nic import Nic
-from repro.network.packet import ACK_SIZE, HEADER_SIZE, Packet
+from repro.network.packet import HEADER_SIZE, Packet
 from repro.rma.attributes import RmaAttrs
 from repro.rma.layout import (
     Fragment,
@@ -735,17 +735,19 @@ class RmaEngine:
         When every condition below holds, the op's entire lifetime —
         injection, serialization, arrival, application, hardware ack —
         is a pure function of current NIC/fabric state, so it is
-        computed here as (vectorized) float arithmetic identical to
-        what the event-loop path would perform, recorded on the
+        computed here in closed form — :meth:`Nic.reserve` and
+        :meth:`Fabric.fifo_arrivals`, the float arithmetic the
+        event-loop path performs packet by packet — recorded on the
         destination's :class:`~repro.rma.train.OpTrain`, and costs zero
         kernel events until observed.  Returns the :class:`OpRecord`,
         or ``None`` to fall back to the packet path.
 
         Eligibility (each is load-bearing; see DESIGN §12):
-        flat ordered fault-free path, idle untraced NIC, no reliable
-        transport, coherent target, no atomic or deferred-application
-        op in the peer's sequence window, and a remote-completion mode
-        that is closed-form ("hw" delivery acks or "flush").
+        flat ordered fault-free path, untraced NIC with no packet held
+        by a stall, no reliable transport, coherent target, no atomic or
+        deferred-application op in the peer's sequence window, and a
+        remote-completion mode that is closed-form ("hw" delivery acks
+        or "flush").
         """
         nic = self.nic
         fabric = nic.fabric
@@ -753,9 +755,9 @@ class RmaEngine:
             not self.train_enabled
             or not nic.burst_enabled
             or nic.transport is not None
-            or nic._pending
+            or nic.backlog
             or fabric.topology is not None
-            or fabric._faulty
+            or fabric.faulty
             or fabric.tracer.enabled
             or not tmem.coherent
             or not self.conformance_mutations <= _TRAIN_MUTATIONS
@@ -828,95 +830,30 @@ class RmaEngine:
             ser = self._train_ser_cache[sizes] = [
                 max(gap, (HEADER_SIZE + s) * bt) for s in sizes
             ]
-        now = sim.now
-        start = now if now > nic._reserved_until else nic._reserved_until
-        key = (self.rank, dst)
-        prev = fabric._last_delivery.get(key, -1.0)
-        latency = path.latency
-        inject_value = None
-        arrivals = None
-        if nfrags == 1:
-            # Scalar algebra: exactly Nic.send's idle path + transmit.
-            inject_end = start + ser[0]
-            arrival = inject_end + latency
-            if arrival <= prev:
-                arrival = prev + 1e-9
-        elif nfrags <= 32:
-            # Short trains: a plain running-sum loop beats numpy's fixed
-            # per-call overhead, and is trivially bit-exact (it IS the
-            # send_burst / transmit_burst float sequence).
-            t = start
-            a = prev
-            inject_value = []
-            arrivals = []
-            for s in ser:
-                t += s
-                inject_value.append(t)
-                r = t + latency
-                if r <= a:
-                    r = a + 1e-9
-                a = r
-                arrivals.append(r)
-            inject_end = t
-            arrival = a
-        else:
-            # Long ops: vectorized algebra.  Bit-exactness: the burst
-            # path computes a running sum ``t = start; t += ser_i`` —
-            # seeding the cumsum with start makes every partial sum
-            # round in the same order.
-            arr = np.empty(nfrags + 1, dtype=np.float64)
-            arr[0] = start
-            arr[1:] = ser
-            injects = np.cumsum(arr)[1:]
-            inject_end = float(injects[-1])
-            raw = injects + latency
-            if cfg.gap > 0.0 and raw[0] > prev:
-                # gap > 0 makes injections (hence raw arrivals) strictly
-                # increasing, and the first clears the FIFO clamp — so
-                # no element needs the +1e-9 nudge.
-                arrivals = raw.tolist()
-            else:
-                arrivals = raw.tolist()
-                p = prev
-                for i, r in enumerate(arrivals):
-                    if r <= p:
-                        r = p + 1e-9
-                        arrivals[i] = r
-                    p = r
-            arrival = arrivals[-1]
-            inject_value = injects.tolist()
+        injects = nic.reserve(ser, nbytes + HEADER_SIZE * nfrags)
         if self.conformance_mutations \
                 and "train_mistime" in self.conformance_mutations \
                 and dst not in self._train_mistimed:
             # Planted batch-path bug: shift every timestamp of the first
-            # train op per destination.  Reservation and FIFO bookkeeping
-            # shift too, so nothing hangs — the run simply diverges.
+            # train op per destination.  The serializer stays booked and
+            # the FIFO tail follows, so nothing hangs — the run simply
+            # diverges.
             self._train_mistimed.add(dst)
-            shift = 1e-3
-            inject_end += shift
-            arrival += shift
-            if arrivals is not None:
-                arrivals = [a + shift for a in arrivals]
-            if inject_value is not None:
-                inject_value = [v + shift for v in inject_value]
-        apply_time = arrival
-        nic._reserved_until = inject_end
-        fabric._last_delivery[key] = arrival
-        nic.packets_sent += nfrags
-        nic.bytes_sent += nbytes + HEADER_SIZE * nfrags
+            injects = [t + 1e-3 for t in injects]
+            nic.stall_until(injects[-1])
+        arrivals = fabric.fifo_arrivals(self.rank, dst, injects)
+        inject_end = injects[-1]
+        apply_time = arrivals[-1]
         ev_local = DeferredEvent(
-            sim, inject_end,
-            inject_end if inject_value is None else inject_value,
+            sim, inject_end, inject_end if nfrags == 1 else injects,
         )
         if mode == "hw":
-            rev = fabric.config_for(dst, self.rank)
-            ack_flight = rev.latency + ACK_SIZE * rev.byte_time
+            ack_flight = fabric.hw_ack_flight(self.rank, dst, nfrags)
             if nfrags == 1:
-                ack_due = ack_value = arrival + ack_flight
+                ack_due = ack_value = apply_time + ack_flight
             else:
                 ack_value = [a + ack_flight for a in arrivals]
                 ack_due = ack_value[-1]
-            fabric.acks_generated += nfrags
             ev_remote: Optional[Event] = DeferredEvent(sim, ack_due, ack_value)
         else:
             ev_remote = None

@@ -23,8 +23,9 @@ target-memory and watermark state the per-packet path would have
 produced at the same simulated time.
 
 Timestamps are bit-identical to the event-loop path by construction:
-the arithmetic below is the same float arithmetic `Nic._injector` /
-`Fabric.transmit` perform, just evaluated eagerly.
+the engine times each op with `Nic.reserve` and `Fabric.fifo_arrivals`,
+the same float arithmetic `Nic.send` / `Fabric.transmit` perform per
+packet, just evaluated eagerly.
 """
 
 from __future__ import annotations

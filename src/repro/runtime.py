@@ -440,7 +440,7 @@ class World:
             )
         self._rank_procs = procs
         # Stop when every rank program has finished — daemon processes
-        # (NIC engines, serializer workers, progress pollers) never
+        # (serializer workers, progress pollers) never
         # terminate, so draining the heap is not a useful stop condition.
         pending = set(procs.values())
         for proc in procs.values():

@@ -104,8 +104,8 @@ class Simulator:
         ``delay`` must be non-negative; a zero delay runs the callback at
         the current time, after everything already scheduled for this
         instant.  ``priority=URGENT`` requires ``delay == 0`` and jumps
-        ahead of ordinary zero-delay callbacks (equivalent to
-        :meth:`schedule_urgent`).
+        ahead of ordinary zero-delay callbacks (like
+        :meth:`schedule_urgent_call`).
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
@@ -130,32 +130,18 @@ class Simulator:
         _heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._seq += 1
 
-    def schedule_bulk_succeed(
-        self, delay: float, events: List[Event], values: List[Any]
-    ) -> None:
-        """Succeed ``events[i]`` with ``values[i]`` after ``delay``, as a
-        single heap entry.
-
-        The batched generalization of the analytic burst-ack trick: N
-        completion events whose (time, value) pairs are already known
-        cost one event-loop interaction instead of N.  Events that
-        trigger earlier by other means are skipped, so heap order and
-        every observable timestamp stay exactly as if each event had its
-        own timer at ``delay``.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        _heappush(self._heap, (self._now + delay, self._seq,
-                               self._bulk_succeed, (events, values)))
-        self._seq += 1
-
     def schedule_bulk_succeed_at(
         self, t: float, events: List[Event], values: List[Any]
     ) -> None:
-        """Absolute-time variant of :meth:`schedule_bulk_succeed`: the
-        heap entry carries ``t`` itself, with no ``now + (t - now)``
-        float round trip, so a precomputed analytic timestamp is
-        reproduced bit-exactly no matter when the call is made."""
+        """Succeed ``events[i]`` with ``values[i]`` at time ``t``, as a
+        single heap entry.
+
+        N completion events whose (time, value) pairs are already known
+        cost one event-loop interaction instead of N.  Events that
+        trigger earlier by other means are skipped.  The heap entry
+        carries ``t`` itself, with no ``now + (t - now)`` float round
+        trip, so a precomputed analytic timestamp is reproduced
+        bit-exactly no matter when the call is made."""
         if t < self._now:
             raise ValueError(f"cannot schedule in the past (t={t!r})")
         _heappush(self._heap, (t, self._seq,
@@ -167,10 +153,6 @@ class Simulator:
         for ev, value in zip(events, values):
             if not ev.triggered:
                 ev.succeed(value)
-
-    def schedule_urgent(self, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at the current time, urgent priority."""
-        self._urgent.append((callback, ()))
 
     def schedule_urgent_call(
         self, fn: Callable[..., None], *args: Any

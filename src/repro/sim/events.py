@@ -204,7 +204,7 @@ class DeferredEvent(Event):
     - attaching a callback before the due time arms one exact timer, so
       a blocking waiter resumes at precisely the analytic timestamp;
     - a batch owner may :meth:`mark_armed` a whole group and retire it
-      with one :meth:`~repro.sim.core.Simulator.schedule_bulk_succeed`
+      with one :meth:`~repro.sim.core.Simulator.schedule_bulk_succeed_at`
       heap entry.
     """
 

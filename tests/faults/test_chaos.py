@@ -121,6 +121,41 @@ class TestStall:
         assert stalled.fault_stats()["injector"]["stalls"] == 1
         assert stalled.sim.now > clean.sim.now
 
+    @pytest.mark.parametrize("armed", [False, True],
+                             ids=["unarmed", "transport"])
+    def test_stall_holds_packets_until_it_lifts(self, armed):
+        """A packet sent while the NIC is stalled waits until the stall
+        lifts — re-checked, so an extension holds it longer — while the
+        packet already on the wire finishes.  One serializer serves
+        every packet, so the transport does not change this timing."""
+        from repro.faults.plan import TransportParams
+        from repro.network.config import seastar_portals
+        from repro.network.fabric import Fabric
+        from repro.network.nic import Nic
+        from repro.network.packet import Packet
+        from repro.sim.core import Simulator
+
+        sim = Simulator()
+        fabric = Fabric(sim, seastar_portals())
+        nics = [Nic(sim, rank, fabric) for rank in range(2)]
+        if armed:
+            for nic in nics:
+                nic.enable_reliability(TransportParams())
+        delivered = {}
+        nics[1].register_handler(
+            "m", lambda p: delivered.setdefault(p.data_bytes, sim.now))
+        big = Packet(src=0, dst=1, kind="m", data_bytes=40000)
+        small = Packet(src=0, dst=1, kind="m", data_bytes=8)
+        sim.schedule_call(0.0, nics[0].send, big)
+        sim.schedule_call(1.0, nics[0].stall_until, 105.0)
+        sim.schedule_call(2.0, nics[0].send, small)
+        sim.schedule_call(50.0, nics[0].stall_until, 300.0)
+        sim.run()
+        assert big.ev_injected.value == pytest.approx(20.016)
+        assert delivered[40000] == pytest.approx(22.216)
+        assert small.ev_injected.value == pytest.approx(300.3)
+        assert delivered[8] == pytest.approx(302.5)
+
 
 class TestKillRank:
     def test_kill_yields_failed_requests_with_structured_errors(self):

@@ -12,6 +12,7 @@ from repro.network import (
     seastar_portals,
 )
 from repro.sim import RngRegistry, Simulator
+from repro.sim.trace import Tracer
 
 
 def setup_pair(config, n=2, seed=0):
@@ -80,6 +81,20 @@ class TestDelivery:
             nics[0].send(Packet(src=0, dst=1, kind="test"))
         sim.run()
         assert arrivals == [4.0, 7.0, 10.0]
+
+    def test_traced_sends_use_the_same_serializer(self):
+        """Tracing changes no NIC timing and spawns no NIC process."""
+        cfg = NetworkConfig(latency=1.0, gap=3.0, byte_time=0.0, jitter=0.0)
+        sim = Simulator()
+        fabric = Fabric(sim, cfg, tracer=Tracer(enabled=True))
+        nics = [Nic(sim, r, fabric) for r in range(2)]
+        arrivals = []
+        nics[1].register_handler("test", lambda p: arrivals.append(sim.now))
+        for _ in range(3):
+            nics[0].send(Packet(src=0, dst=1, kind="test"))
+        sim.run()
+        assert arrivals == [4.0, 7.0, 10.0]
+        assert sim._processes_spawned == 0
 
     def test_src_mismatch_rejected(self):
         sim, fabric, nics = setup_pair(NetworkConfig())

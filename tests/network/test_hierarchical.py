@@ -105,7 +105,6 @@ class TestIntraNodePath:
         fate = SimpleNamespace(drop=True, corrupt=False, extra_delay=0.0,
                                duplicate=False)
         w.fabric._injector = SimpleNamespace(fate=lambda p, now: fate)
-        w.fabric._faulty = True
 
         def pkt():
             return Packet(src=0, dst=1, kind="test", payload={},
