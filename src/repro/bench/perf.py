@@ -2,13 +2,19 @@
 
 Unlike everything else in :mod:`repro.bench` — which reports *simulated*
 microseconds — this harness measures how fast the simulator itself runs
-on the host machine.  It times three tiers of the stack:
+on the host machine.  It times four tiers of the stack:
 
 ``kernel``
     Raw event-loop throughput (callbacks/sec and process-resume
     events/sec) on synthetic workloads that only touch
     :mod:`repro.sim`.  This is the number every other layer is bounded
     by.
+
+``machine``
+    NIC deposits/sec into a coherent rank's memory at 8 B and 64 KiB,
+    with nothing of the range cached and with all of it cached — the
+    cost of the cache model's line bookkeeping.  ``--compare`` ignores
+    it (wall clock only).
 
 ``halo``
     An 8-rank strawman halo exchange — the kernel plus NIC/fabric/RMA
@@ -120,6 +126,38 @@ def bench_kernel_processes(n_procs: int = 500, n_waits: int = 400) -> float:
     elapsed = time.perf_counter() - t0
     # Each wait is one Timeout event + one process resume.
     return (n_procs * n_waits) / elapsed
+
+
+def bench_machine_deposits(sizes=(8, 65536),
+                           n_deposits: int = 2000) -> Dict[str, Any]:
+    """NIC deposits/sec (:meth:`RankMemory.nic_write`) into a coherent
+    target at each size, with none of the range resident in the cache
+    (``cold``) and with all of it resident (``resident``).
+
+    The resident arm loads the range back before every deposit, outside
+    the timed region, so only the deposit itself (memory copy plus line
+    invalidation) is timed.
+    """
+    import numpy as np
+
+    from repro.machine.config import NodeConfig
+    from repro.machine.node import RankMemory
+
+    rates = {}
+    for size in sizes:
+        data = np.full(size, 7, dtype=np.uint8)
+        for arm in ("cold", "resident"):
+            mem = RankMemory(0, NodeConfig(coherent=True))
+            alloc = mem.space.alloc(size)
+            elapsed = 0.0
+            for _ in range(n_deposits):
+                if arm == "resident":
+                    mem.load(alloc, 0, size)
+                t0 = time.perf_counter()
+                mem.nic_write(alloc, 0, data)
+                elapsed += time.perf_counter() - t0
+            rates[f"{size}/{arm}"] = n_deposits / elapsed
+    return {"nic_writes_per_sec": rates, "n_deposits": n_deposits}
 
 
 # ----------------------------------------------------------------------
@@ -263,17 +301,20 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
     if quick:
         kernel_cb = _best_of(2, lambda: bench_kernel_callbacks(40_000))
         kernel_proc = _best_of(2, lambda: bench_kernel_processes(100, 100))
+        machine = bench_machine_deposits(n_deposits=200)
         halo = bench_halo(iterations=5)
         fig2 = bench_fig2(sizes=(1024, 16384), modes=("none", "ordering"),
                           puts_per_origin=10)
     else:
         kernel_cb = _best_of(3, lambda: bench_kernel_callbacks())
         kernel_proc = _best_of(3, lambda: bench_kernel_processes())
+        machine = bench_machine_deposits()
         halo = bench_halo()
         fig2 = bench_fig2()
     return {
         "kernel_callbacks_per_sec": kernel_cb,
         "kernel_process_events_per_sec": kernel_proc,
+        "machine": machine,
         "halo": halo,
         "fig2": fig2,
     }
@@ -345,6 +386,11 @@ def _speedups(current: Dict[str, Any],
     for key in ("kernel_callbacks_per_sec", "kernel_process_events_per_sec"):
         if baseline.get(key):
             out[key] = current[key] / baseline[key]
+    base_rates = baseline.get("machine", {}).get("nic_writes_per_sec", {})
+    cur_rates = current.get("machine", {}).get("nic_writes_per_sec", {})
+    for key in sorted(base_rates):
+        if key in cur_rates:
+            out[f"machine.{key}"] = cur_rates[key] / base_rates[key]
     if baseline.get("halo", {}).get("wall_sec"):
         out["halo_wall"] = baseline["halo"]["wall_sec"] / current["halo"]["wall_sec"]
     if baseline.get("fig2", {}).get("wall_sec_total"):
@@ -523,6 +569,8 @@ def main(argv: Optional[list] = None) -> int:
 
     print(f"[perf] kernel callbacks/sec:       {results['kernel_callbacks_per_sec']:>12,.0f}")
     print(f"[perf] kernel process events/sec:  {results['kernel_process_events_per_sec']:>12,.0f}")
+    for key, rate in results["machine"]["nic_writes_per_sec"].items():
+        print(f"[perf] nic_write {key + ' /sec:':<22}{rate:>12,.0f}")
     print(f"[perf] halo wall:  {results['halo']['wall_sec']:.3f}s "
           f"(sim {results['halo']['sim_us_per_iter']:.1f} µs/iter)")
     print(f"[perf] fig2 wall:  {results['fig2']['wall_sec_total']:.3f}s "

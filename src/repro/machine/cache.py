@@ -16,12 +16,15 @@ We model exactly that observable behaviour:
 - :class:`NoCache` — vector-unit style direct memory access.
 
 All models operate on (alloc_id, line_index) granularity with a
-configurable line size.
+configurable line size.  The line-tracking models index their resident
+lines by allocation, so bookkeeping costs time per *resident* line: a
+NIC deposit into an allocation with nothing cached costs O(1), however
+many lines it covers.  A zero-length access touches no line.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Collection, Dict, Iterable, Set, Tuple
 
 import numpy as np
 
@@ -79,6 +82,20 @@ class CacheModel:
         raise NotImplementedError
 
 
+def _lines_to_visit(
+    resident: Collection[int], line_size: int, offset: int, n: int
+) -> Iterable[int]:
+    """Lines to visit for the range ``[offset, offset + n)`` (``n >= 1``):
+    every line it covers, or, when fewer lines are resident than that,
+    just the resident lines inside it.  Either way the walk is over the
+    smaller side; callers still test each line for residency."""
+    first = offset // line_size
+    last = (offset + n - 1) // line_size
+    if last - first < len(resident):
+        return range(first, last + 1)
+    return [line for line in resident if first <= line <= last]
+
+
 class CoherentCache(CacheModel):
     """Fully coherent: loads always observe memory; remote writes are
     immediately visible.  Hit/miss counters still model a line cache for
@@ -88,18 +105,19 @@ class CoherentCache(CacheModel):
 
     def __init__(self, space: AddressSpace, line_size: int = 64) -> None:
         super().__init__(space, line_size)
-        self._present: set = set()
+        self._present: Dict[int, Set[int]] = {}  # alloc_id -> lines
 
     def _touch(self, alloc: Allocation, offset: int, n: int) -> None:
+        if n <= 0:
+            return
+        lines = self._present.setdefault(alloc.alloc_id, set())
         first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            key = (alloc.alloc_id, line)
-            if key in self._present:
-                self.hits += 1
-            else:
-                self.misses += 1
-                self._present.add(key)
+        last = (offset + n - 1) // self.line_size
+        before = len(lines)
+        lines.update(range(first, last + 1))
+        added = len(lines) - before
+        self.misses += added
+        self.hits += last - first + 1 - added
 
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
         self._touch(alloc, offset, n)
@@ -123,12 +141,13 @@ class CoherentCache(CacheModel):
         self._present.clear()
 
     def invalidate_range(self, alloc: Allocation, offset: int, n: int) -> None:
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            if (alloc.alloc_id, line) in self._present:
-                self._present.discard((alloc.alloc_id, line))
-                self.invalidations += 1
+        lines = self._present.get(alloc.alloc_id)
+        if not lines or n <= 0:
+            return
+        before = len(lines)
+        lines.difference_update(
+            _lines_to_visit(lines, self.line_size, offset, n))
+        self.invalidations += before - len(lines)
 
 
 class WriteThroughNonCoherentCache(CacheModel):
@@ -144,7 +163,8 @@ class WriteThroughNonCoherentCache(CacheModel):
 
     def __init__(self, space: AddressSpace, line_size: int = 64) -> None:
         super().__init__(space, line_size)
-        self._lines: Dict[Tuple[int, int], np.ndarray] = {}
+        # alloc_id -> {line: snapshot}
+        self._lines: Dict[int, Dict[int, np.ndarray]] = {}
 
     def _line_bounds(self, buf_size: int, line: int) -> Tuple[int, int]:
         start = line * self.line_size
@@ -153,16 +173,18 @@ class WriteThroughNonCoherentCache(CacheModel):
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
         buf = self.space.buffer(alloc)
         out = np.empty(n, dtype=np.uint8)
+        if n <= 0:
+            return out
+        lines = self._lines.setdefault(alloc.alloc_id, {})
         first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
+        last = (offset + n - 1) // self.line_size
         for line in range(first, last + 1):
-            key = (alloc.alloc_id, line)
             lstart, lend = self._line_bounds(buf.size, line)
-            snapshot = self._lines.get(key)
+            snapshot = lines.get(line)
             if snapshot is None:
                 self.misses += 1
                 snapshot = buf[lstart:lend].copy()
-                self._lines[key] = snapshot
+                lines[line] = snapshot
             else:
                 self.hits += 1
             # Copy the overlap of [offset, offset+n) with this line.
@@ -175,16 +197,15 @@ class WriteThroughNonCoherentCache(CacheModel):
     def store(self, alloc: Allocation, offset: int, data: np.ndarray) -> None:
         data = np.asarray(data, dtype=np.uint8)
         self.space.write(alloc, offset, data)
+        lines = self._lines.get(alloc.alloc_id)
+        if not lines or data.size == 0:
+            return
         buf = self.space.buffer(alloc)
-        n = data.size
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            key = (alloc.alloc_id, line)
-            if key in self._lines:
+        for line in _lines_to_visit(lines, self.line_size, offset, data.size):
+            if line in lines:
                 # Write-through: refresh the cached snapshot from memory.
                 lstart, lend = self._line_bounds(buf.size, line)
-                self._lines[key] = buf[lstart:lend].copy()
+                lines[line] = buf[lstart:lend].copy()
 
     def remote_write(
         self, alloc: Allocation, offset: int, data: np.ndarray
@@ -193,14 +214,15 @@ class WriteThroughNonCoherentCache(CacheModel):
         self.space.write(alloc, offset, np.asarray(data, dtype=np.uint8))
 
     def fence(self) -> None:
-        self.invalidations += len(self._lines)
+        self.invalidations += sum(map(len, self._lines.values()))
         self._lines.clear()
 
     def invalidate_range(self, alloc: Allocation, offset: int, n: int) -> None:
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            if self._lines.pop((alloc.alloc_id, line), None) is not None:
+        lines = self._lines.get(alloc.alloc_id)
+        if not lines or n <= 0:
+            return
+        for line in _lines_to_visit(lines, self.line_size, offset, n):
+            if lines.pop(line, None) is not None:
                 self.invalidations += 1
 
 

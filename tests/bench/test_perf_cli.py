@@ -11,6 +11,8 @@ from repro.bench import perf
 FAKE_RESULTS = {
     "kernel_callbacks_per_sec": 1e6,
     "kernel_process_events_per_sec": 2e6,
+    "machine": {"nic_writes_per_sec": {"8/cold": 4e5, "8/resident": 3e5},
+                "n_deposits": 200},
     "halo": {"wall_sec": 0.1, "sim_us_per_iter": 45.0, "n_ranks": 8,
              "halo_bytes": 8192, "iterations": 40},
     "fig2": {"wall_sec_total": 0.5, "puts_per_origin": 50,
@@ -65,3 +67,16 @@ class TestOutFile:
             doc = json.load(fh)
         assert doc["baseline"]["label"] == "base"
         assert doc["speedup"]["kernel_callbacks_per_sec"] == 1.0
+        assert doc["speedup"]["machine.8/cold"] == 1.0
+
+
+class TestMachineDeposits:
+    def test_reports_each_size_cold_and_resident(self):
+        point = perf.bench_machine_deposits(sizes=(8, 4096), n_deposits=3)
+        rates = point["nic_writes_per_sec"]
+        assert sorted(rates) == ["4096/cold", "4096/resident",
+                                 "8/cold", "8/resident"]
+        assert all(rate > 0 for rate in rates.values())
+
+    def test_compare_ignores_wall_clock_machine_point(self):
+        assert perf.compare_to_baseline({"machine": FAKE_RESULTS["machine"]}) == []
