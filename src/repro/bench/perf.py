@@ -20,6 +20,15 @@ on the host machine.  It times four tiers of the stack:
     An 8-rank strawman halo exchange — the kernel plus NIC/fabric/RMA
     engine on a small, latency-bound workload.
 
+``collective_scaling``
+    The strawman halo over a rank-count curve (8 → 2048; ``--quick``
+    stops at 128), with the wall time split into set-up (world build
+    plus the descriptor allgathers and the window's collectives) and
+    iterations (a dissemination barrier each), both per rank.  A
+    simulator whose host cost per message is constant shows per-rank
+    set-up flat and per-rank iteration cost growing only with the
+    barrier's log2(n) rounds.
+
 ``fig2``
     The paper's Figure-2 attribute-cost sweep over message sizes — the
     full stack including fragmentation and the datatype engine on a
@@ -34,11 +43,12 @@ tracked in one artifact; future PRs extend the trajectory by pointing
 ``--baseline`` at the previous PR's file.
 
 ``--compare FILE`` is the regression gate: it *recomputes* every
-simulated-time observable recorded in ``FILE`` (the halo µs/iter and
-each Figure-2 point) with the recorded parameters and exits non-zero
-when any drifts beyond ``--tolerance`` (relative; default exact to
-float noise).  Wall-clock numbers are machine-dependent and are never
-compared — only simulated time, which must be bit-stable.  CI runs
+simulated-time observable recorded in ``FILE`` (the halo µs/iter,
+each Figure-2 point and each rank-scaling point) with the recorded
+parameters and exits non-zero when any drifts beyond ``--tolerance``
+(relative; default exact to float noise).  Wall-clock numbers are
+machine-dependent and are never compared — only simulated time, which
+must be bit-stable.  CI runs
 this against ``BENCH_PR1.json`` so a change that silently shifts the
 model's timing fails the build.
 
@@ -56,7 +66,8 @@ import sys
 import time
 from typing import Any, Callable, Dict, Optional
 
-__all__ = ["run_all", "compare_to_baseline", "main"]
+__all__ = ["run_all", "compare_to_baseline", "bench_collective_scaling",
+           "main"]
 
 
 def _best_of(n: int, fn: Callable[[], float]) -> float:
@@ -183,6 +194,46 @@ def bench_halo(n_ranks: int = 8, halo_bytes: int = 8192,
     }
 
 
+#: Rank counts of the collective-scaling curve (``--quick`` stops at 128).
+SCALING_RANKS = (8, 32, 128, 512, 2048)
+SCALING_RANKS_QUICK = (8, 32, 128)
+
+
+def bench_collective_scaling(ranks=SCALING_RANKS, halo_bytes: int = 8192,
+                             iterations: int = 5) -> Dict[str, Any]:
+    """Set-up and per-iteration wall per rank of the strawman halo at
+    each rank count, plus its simulated µs/iter.
+
+    Set-up runs from the ``World`` constructor to rank 0 entering its
+    timed loop; the iterations run from there to rank 0 leaving it.
+    """
+    from repro.bench.workloads import halo_exchange_time
+
+    # First-call costs (imports, caches) belong to no point.
+    halo_exchange_time("strawman", n_ranks=2, halo_bytes=halo_bytes,
+                       iterations=1)
+    points: Dict[str, Dict[str, float]] = {}
+    for n in ranks:
+        marks: list = []
+        t0 = time.perf_counter()
+        sim_us = halo_exchange_time(
+            "strawman", n_ranks=n, halo_bytes=halo_bytes,
+            iterations=iterations, host_marks=marks,
+        )
+        setup = marks[0] - t0
+        loop = marks[1] - marks[0]
+        points[str(n)] = {
+            "n_ranks": n,
+            "sim_us_per_iter": sim_us,
+            "setup_wall_sec": setup,
+            "setup_ms_per_rank": setup / n * 1e3,
+            "iter_wall_sec": loop / iterations,
+            "iter_ms_per_rank": loop / iterations / n * 1e3,
+        }
+    return {"halo_bytes": halo_bytes, "iterations": iterations,
+            "points": points}
+
+
 def bench_fig2(sizes=(1024, 16384, 65536),
                modes=("none", "ordering", "remote_complete"),
                puts_per_origin: int = 50) -> Dict[str, Any]:
@@ -303,6 +354,7 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
         kernel_proc = _best_of(2, lambda: bench_kernel_processes(100, 100))
         machine = bench_machine_deposits(n_deposits=200)
         halo = bench_halo(iterations=5)
+        scaling = bench_collective_scaling(SCALING_RANKS_QUICK)
         fig2 = bench_fig2(sizes=(1024, 16384), modes=("none", "ordering"),
                           puts_per_origin=10)
     else:
@@ -310,12 +362,14 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
         kernel_proc = _best_of(3, lambda: bench_kernel_processes())
         machine = bench_machine_deposits()
         halo = bench_halo()
+        scaling = bench_collective_scaling()
         fig2 = bench_fig2()
     return {
         "kernel_callbacks_per_sec": kernel_cb,
         "kernel_process_events_per_sec": kernel_proc,
         "machine": machine,
         "halo": halo,
+        "collective_scaling": scaling,
         "fig2": fig2,
     }
 
@@ -360,6 +414,23 @@ def compare_to_baseline(baseline: Dict[str, Any],
         if walls is not None:
             walls["halo"] = (time.perf_counter() - t0, halo.get("wall_sec"))
         check("halo.sim_us_per_iter", sim_us, halo["sim_us_per_iter"])
+
+    scaling = results.get("collective_scaling") or {}
+    for key in sorted(scaling.get("points", {}), key=int):
+        point = scaling["points"][key]
+        t0 = time.perf_counter()
+        sim_us = halo_exchange_time(
+            "strawman", n_ranks=int(point["n_ranks"]),
+            halo_bytes=int(scaling["halo_bytes"]),
+            iterations=int(scaling["iterations"]),
+        )
+        if walls is not None:
+            recorded = (point["setup_wall_sec"]
+                        + point["iter_wall_sec"] * int(scaling["iterations"]))
+            walls[f"collective_scaling.{key}"] = (
+                time.perf_counter() - t0, recorded)
+        check(f"collective_scaling.{key}.sim_us_per_iter", sim_us,
+              point["sim_us_per_iter"])
 
     fig2 = results.get("fig2") or {}
     puts_per_origin = int(fig2.get("puts_per_origin", 100))
@@ -573,6 +644,11 @@ def main(argv: Optional[list] = None) -> int:
         print(f"[perf] nic_write {key + ' /sec:':<22}{rate:>12,.0f}")
     print(f"[perf] halo wall:  {results['halo']['wall_sec']:.3f}s "
           f"(sim {results['halo']['sim_us_per_iter']:.1f} µs/iter)")
+    for key, point in results["collective_scaling"]["points"].items():
+        print(f"[perf] scaling {key:>5} ranks: set-up "
+              f"{point['setup_ms_per_rank']:.3f} ms/rank, iteration "
+              f"{point['iter_ms_per_rank']:.3f} ms/rank "
+              f"(sim {point['sim_us_per_iter']:.1f} µs/iter)")
     print(f"[perf] fig2 wall:  {results['fig2']['wall_sec_total']:.3f}s "
           f"({len(results['fig2']['points'])} points)")
     for key, val in doc.get("speedup", {}).items():

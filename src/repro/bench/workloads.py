@@ -16,7 +16,8 @@ milliseconds for display).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import time
+from typing import Dict, List, Optional, Tuple
 
 from repro.datatypes import BYTE
 from repro.machine import (
@@ -212,12 +213,16 @@ def halo_exchange_time(
     network: Optional[NetworkConfig] = None,
     seed: int = 0,
     machine: Optional[MachineConfig] = None,
+    host_marks: Optional[List[float]] = None,
 ) -> float:
     """1-D ring halo exchange under each MPI-2 sync mode, or the
     strawman API (ablation A5).  Returns µs per iteration.
 
     ``machine`` (optional) overrides the default one-rank-per-node
     cluster — e.g. to pin a placement strategy for topology runs.
+    ``host_marks`` (optional) receives the host clock
+    (``time.perf_counter()``) when rank 0 enters and leaves its timed
+    loop, which splits the run's wall time into set-up and iterations.
     """
     network = network or seastar_portals()
 
@@ -229,6 +234,8 @@ def halo_exchange_time(
         src = ctx.mem.space.alloc(halo_bytes, fill=ctx.rank % 256)
         yield from ctx.comm.barrier()
         t0 = ctx.sim.now
+        if host_marks is not None and ctx.rank == 0:
+            host_marks.append(time.perf_counter())
         for _ in range(iterations):
             if sync_mode == "fence":
                 yield from win.fence()
@@ -260,6 +267,8 @@ def halo_exchange_time(
                 yield from ctx.rma.complete_collective(ctx.comm)
             else:
                 raise ValueError(f"unknown sync mode {sync_mode!r}")
+        if host_marks is not None and ctx.rank == 0:
+            host_marks.append(time.perf_counter())
         elapsed = (ctx.sim.now - t0) / iterations
         yield from ctx.comm.barrier()
         return elapsed

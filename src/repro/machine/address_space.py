@@ -16,7 +16,7 @@ staleness is made observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class AddressSpace:
         self._allocations: Dict[int, np.ndarray] = {}
         self._next_id = 1
         self._bytes_allocated = 0
+        #: Called with the ``alloc_id`` of every freed allocation (the
+        #: cache models drop its lines).
+        self._free_hooks: List[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -104,6 +107,12 @@ class AddressSpace:
                 f"rank {self.rank}: free of unknown allocation {alloc.alloc_id}"
             )
         self._bytes_allocated -= buf.size
+        for hook in self._free_hooks:
+            hook(alloc.alloc_id)
+
+    def on_free(self, hook: Callable[[int], None]) -> None:
+        """Call ``hook(alloc_id)`` whenever an allocation is freed."""
+        self._free_hooks.append(hook)
 
     def buffer(self, alloc: Allocation) -> np.ndarray:
         """The raw ``uint8`` buffer behind a handle (a live view)."""
@@ -115,6 +124,15 @@ class AddressSpace:
             )
         return buf
 
+    def checked_buffer(
+        self, alloc: Allocation, offset: int, n: int
+    ) -> np.ndarray:
+        """:meth:`buffer`, after checking that ``[offset, offset + n)``
+        lies inside the allocation."""
+        buf = self.buffer(alloc)
+        self._check(buf, offset, n)
+        return buf
+
     def _check(self, buf: np.ndarray, offset: int, n: int) -> None:
         if offset < 0 or n < 0 or offset + n > buf.size:
             raise MemoryError_(
@@ -124,8 +142,7 @@ class AddressSpace:
 
     def read(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
         """Copy ``n`` bytes out of memory (bypasses any cache model)."""
-        buf = self.buffer(alloc)
-        self._check(buf, offset, n)
+        buf = self.checked_buffer(alloc, offset, n)
         return buf[offset : offset + n].copy()
 
     def write(self, alloc: Allocation, offset: int, data: np.ndarray) -> None:

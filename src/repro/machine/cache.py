@@ -19,7 +19,10 @@ All models operate on (alloc_id, line_index) granularity with a
 configurable line size.  The line-tracking models index their resident
 lines by allocation, so bookkeeping costs time per *resident* line: a
 NIC deposit into an allocation with nothing cached costs O(1), however
-many lines it covers.  A zero-length access touches no line.
+many lines it covers.  A zero-length access touches no line.  An access
+is bounds-checked before it touches a line or a counter, so a rejected
+one leaves the cache as it was.  Freeing an allocation drops its lines
+without counting them as invalidations.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ class CacheModel:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        space.on_free(self._forget)
+
+    def _forget(self, alloc_id: int) -> None:
+        """Drop the state of a freed allocation (no invalidation counted)."""
 
     # -- the three access paths ----------------------------------------
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
@@ -107,6 +114,9 @@ class CoherentCache(CacheModel):
         super().__init__(space, line_size)
         self._present: Dict[int, Set[int]] = {}  # alloc_id -> lines
 
+    def _forget(self, alloc_id: int) -> None:
+        self._present.pop(alloc_id, None)
+
     def _touch(self, alloc: Allocation, offset: int, n: int) -> None:
         if n <= 0:
             return
@@ -120,13 +130,14 @@ class CoherentCache(CacheModel):
         self.hits += last - first + 1 - added
 
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
+        out = self.space.read(alloc, offset, n)
         self._touch(alloc, offset, n)
-        return self.space.read(alloc, offset, n)
+        return out
 
     def store(self, alloc: Allocation, offset: int, data: np.ndarray) -> None:
         data = np.asarray(data, dtype=np.uint8)
-        self._touch(alloc, offset, data.size)
         self.space.write(alloc, offset, data)
+        self._touch(alloc, offset, data.size)
 
     def remote_write(
         self, alloc: Allocation, offset: int, data: np.ndarray
@@ -166,12 +177,15 @@ class WriteThroughNonCoherentCache(CacheModel):
         # alloc_id -> {line: snapshot}
         self._lines: Dict[int, Dict[int, np.ndarray]] = {}
 
+    def _forget(self, alloc_id: int) -> None:
+        self._lines.pop(alloc_id, None)
+
     def _line_bounds(self, buf_size: int, line: int) -> Tuple[int, int]:
         start = line * self.line_size
         return start, min(start + self.line_size, buf_size)
 
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
-        buf = self.space.buffer(alloc)
+        buf = self.space.checked_buffer(alloc, offset, n)
         out = np.empty(n, dtype=np.uint8)
         if n <= 0:
             return out

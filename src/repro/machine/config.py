@@ -167,6 +167,12 @@ class MachineConfig:
                 f"placement map names node(s) {sorted(set(bad))} outside "
                 f"0..{self.n_nodes - 1}")
         object.__setattr__(self, "_rank_node", rank_node)
+        # ...and its inverse, node -> ascending ranks, built in one pass.
+        node_ranks: List[List[int]] = [[] for _ in range(self.n_nodes)]
+        for rank, node in enumerate(rank_node):
+            node_ranks[node].append(rank)
+        object.__setattr__(self, "_node_ranks",
+                           tuple(tuple(rs) for rs in node_ranks))
 
     @property
     def n_ranks(self) -> int:
@@ -191,8 +197,7 @@ class MachineConfig:
         """The ranks hosted on ``node_id`` (ascending)."""
         if node_id < 0 or node_id >= self.n_nodes:
             raise ValueError(f"node {node_id} out of range 0..{self.n_nodes - 1}")
-        rank_node = self._rank_node  # type: ignore[attr-defined]
-        return [r for r in range(self.n_ranks) if rank_node[r] == node_id]
+        return list(self._node_ranks[node_id])  # type: ignore[attr-defined]
 
     def with_nodes(self, n_nodes: int) -> "MachineConfig":
         """Copy with a different node count."""

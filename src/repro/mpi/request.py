@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Iterable, List, Optional
 
-from repro.sim.events import AllOf, Event
+from repro.mpi.constants import ERRORS_RAISE
+# ``repro.rma`` imports this module, but ``repro/__init__`` imports
+# ``repro.rma`` first, so its leaf ``target_mem`` is importable here.
+from repro.rma.target_mem import RmaError
+from repro.sim.events import AllOf, AnyOf, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -24,8 +28,6 @@ def _rma_error_of(value: Any) -> Any:
     event *value* (failure-aware completion never uses ``Event.fail`` —
     a failed operation's event succeeds with the error object so AllOf
     aggregation keeps working)."""
-    from repro.rma.target_mem import RmaError
-
     if isinstance(value, RmaError):
         return value
     if isinstance(value, list):
@@ -36,8 +38,6 @@ def _rma_error_of(value: Any) -> Any:
 
 
 def _errhandler_of(sim: "Simulator") -> str:
-    from repro.mpi.constants import ERRORS_RAISE
-
     world = sim.context.get("world")
     if world is None:
         return ERRORS_RAISE
@@ -60,20 +60,28 @@ class Request:
     immediate poll.  The value carried by the request depends on the
     operation: received object for ``irecv``, ``None`` for ``isend``,
     fetched data for RMA gets, etc.
+
+    Only requests with ``carries_errors`` (every RMA request) treat an
+    :class:`~repro.rma.target_mem.RmaError` in their value as a failure.
+    Point-to-point requests pass ``carries_errors=False``: a received
+    object is the application's data and is returned unchanged, never
+    scanned.
     """
 
     def __init__(self, sim: "Simulator", event: Optional[Event] = None,
-                 kind: str = "generic") -> None:
+                 kind: str = "generic", carries_errors: bool = True) -> None:
         self.sim = sim
         self.event = event if event is not None else sim.event()
         self.kind = kind
+        self.carries_errors = carries_errors
         self.status: Optional[Status] = None
 
     @property
     def error(self) -> Any:
         """The operation's :class:`~repro.rma.target_mem.RmaError`, or
-        ``None`` while pending / after success."""
-        if not self.event.triggered:
+        ``None`` while pending / after success (always ``None`` for a
+        point-to-point request)."""
+        if not self.carries_errors or not self.event.triggered:
             return None
         return _rma_error_of(self.event.value)
 
@@ -106,10 +114,10 @@ class Request:
         if not self.event.triggered:
             yield self.event
         value = self.event.value
+        if not self.carries_errors:
+            return value
         err = _rma_error_of(value)
         if err is not None:
-            from repro.mpi.constants import ERRORS_RAISE
-
             if _errhandler_of(self.sim) == ERRORS_RAISE:
                 raise err
             return err
@@ -132,12 +140,10 @@ class Request:
             sim = reqs[0].sim
             yield AllOf(sim, pending)
         values = [r.event.value for r in reqs]
-        errs = [e for e in (_rma_error_of(v) for v in values) if e is not None]
-        if errs:
-            from repro.mpi.constants import ERRORS_RAISE
-
-            if _errhandler_of(reqs[0].sim) == ERRORS_RAISE:
-                raise errs[0]
+        errs = [e for e in (_rma_error_of(v) for r, v in zip(reqs, values)
+                            if r.carries_errors) if e is not None]
+        if errs and _errhandler_of(reqs[0].sim) == ERRORS_RAISE:
+            raise errs[0]
         return values
 
     @staticmethod
@@ -149,8 +155,6 @@ class Request:
         for i, r in enumerate(reqs):
             if r.event.triggered:
                 return i
-        from repro.sim.events import AnyOf
-
         sim = reqs[0].sim
         yield AnyOf(sim, [r.event for r in reqs])
         for i, r in enumerate(reqs):

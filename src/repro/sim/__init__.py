@@ -12,8 +12,8 @@ It provides a SimPy-flavoured, dependency-free kernel:
 - :class:`~repro.sim.process.Process` — generator-coroutine processes;
   simulated actors ``yield`` events and are resumed when they trigger.
 - :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.Channel` — synchronization primitives.
+  :class:`~repro.sim.resources.Semaphore`,
+  :class:`~repro.sim.resources.Store` — synchronization primitives.
 
 Example
 -------
@@ -34,14 +34,13 @@ Process(...)
 from repro.sim.core import SimulationError, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, EventError, Timeout
 from repro.sim.process import Interrupt, Process, ProcessKilled
-from repro.sim.resources import Channel, Resource, Semaphore, Store
+from repro.sim.resources import Resource, Semaphore, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Channel",
     "Event",
     "EventError",
     "Interrupt",

@@ -18,14 +18,14 @@ Usage from a process::
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
-__all__ = ["Resource", "Semaphore", "Store", "Channel"]
+__all__ = ["Resource", "Semaphore", "Store"]
 
 
 class Resource:
@@ -162,53 +162,3 @@ class Store:
     def peek_all(self) -> list:
         """Snapshot of buffered items (diagnostic)."""
         return list(self._items)
-
-
-class Channel:
-    """A :class:`Store` with optional predicate-matched receive.
-
-    Used by the MPI layer for tag matching: a getter may specify a
-    predicate; it receives the oldest buffered item satisfying it.
-    Ordering between matching getters is FIFO, mirroring MPI's
-    non-overtaking rule for equally-matching receives.
-    """
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[tuple] = deque()  # (predicate|None, Event)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deliver ``item`` to the oldest waiting matching getter, else buffer."""
-        for idx, (pred, ticket) in enumerate(self._getters):
-            if pred is None or pred(item):
-                del self._getters[idx]
-                ticket.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(
-        self, predicate: Optional[Callable[[Any], bool]] = None
-    ) -> Generator[Event, Any, Any]:
-        """Wait for the oldest item matching ``predicate`` (``yield from``)."""
-        for idx, item in enumerate(self._items):
-            if predicate is None or predicate(item):
-                del self._items[idx]
-                return item
-        ticket = Event(self.sim)
-        self._getters.append((predicate, ticket))
-        item = yield ticket
-        return item
-
-    def try_get(
-        self, predicate: Optional[Callable[[Any], bool]] = None
-    ) -> Optional[Any]:
-        """Non-blocking matched receive; ``None`` if nothing matches."""
-        for idx, item in enumerate(self._items):
-            if predicate is None or predicate(item):
-                del self._items[idx]
-                return item
-        return None

@@ -15,6 +15,11 @@ FAKE_RESULTS = {
                 "n_deposits": 200},
     "halo": {"wall_sec": 0.1, "sim_us_per_iter": 45.0, "n_ranks": 8,
              "halo_bytes": 8192, "iterations": 40},
+    "collective_scaling": {
+        "halo_bytes": 8192, "iterations": 5,
+        "points": {"8": {"n_ranks": 8, "sim_us_per_iter": 46.2,
+                         "setup_wall_sec": 0.002, "setup_ms_per_rank": 0.25,
+                         "iter_wall_sec": 0.0015, "iter_ms_per_rank": 0.19}}},
     "fig2": {"wall_sec_total": 0.5, "puts_per_origin": 50,
              "points": {"none/1024": {"wall_sec": 0.1, "sim_us": 242.2}}},
 }

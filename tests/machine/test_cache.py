@@ -9,6 +9,7 @@ from repro.machine import (
     NoCache,
     WriteThroughNonCoherentCache,
 )
+from repro.machine.address_space import MemoryError_
 
 
 def make(model_cls, line_size=8):
@@ -137,3 +138,72 @@ class TestLineSizeValidation:
         space = AddressSpace(0)
         with pytest.raises(ValueError):
             CoherentCache(space, line_size=0)
+
+
+LINE_MODELS = [CoherentCache, WriteThroughNonCoherentCache]
+
+
+def counters(cache):
+    return cache.hits, cache.misses, cache.invalidations
+
+
+@pytest.mark.parametrize("model", LINE_MODELS)
+class TestRejectedAccessTouchesNothing:
+    """An out-of-bounds access raises before it counts or caches a line."""
+
+    def test_rejected_load_raises_and_leaves_lines_alone(self, model):
+        _, cache, a = make(model)  # 64 bytes, line size 8
+        cache.load(a, 0, 8)
+        before = counters(cache)
+        with pytest.raises(MemoryError_):
+            cache.load(a, 60, 10)  # lines 7 and 8; line 8 is past the end
+        assert counters(cache) == before
+        cache.load(a, 56, 8)  # line 7 was not made resident: a miss
+        assert counters(cache) == (before[0], before[1] + 1, before[2])
+
+    def test_rejected_load_caches_no_snapshot(self, model):
+        _, cache, a = make(model)
+        with pytest.raises(MemoryError_):
+            cache.load(a, 60, 10)
+        cache.fence()
+        assert counters(cache) == (0, 0, 0)
+
+    def test_negative_offset_rejected(self, model):
+        _, cache, a = make(model)
+        with pytest.raises(MemoryError_):
+            cache.load(a, -8, 4)
+        assert counters(cache) == (0, 0, 0)
+
+    def test_rejected_store_leaves_lines_alone(self, model):
+        space, cache, a = make(model)
+        with pytest.raises(MemoryError_):
+            cache.store(a, 60, by([1] * 10))
+        assert counters(cache) == (0, 0, 0)
+        assert space.buffer(a).tolist() == [0] * 64
+
+
+@pytest.mark.parametrize("model", LINE_MODELS)
+class TestFreeDropsLines:
+    def test_freed_lines_are_dropped_uncounted(self, model):
+        space = AddressSpace(rank=0)
+        cache = model(space, line_size=64)
+        for _ in range(100):
+            a = space.alloc(4096)
+            cache.load(a, 0, 4096)
+            space.free(a)
+        assert cache.misses == 100 * 64
+        resident = (cache._present if model is CoherentCache
+                    else cache._lines)
+        assert resident == {}
+        cache.fence()
+        assert cache.invalidations == 0
+
+    def test_free_keeps_other_allocations(self, model):
+        space = AddressSpace(rank=0)
+        cache = model(space, line_size=8)
+        a, b = space.alloc(16), space.alloc(16)
+        cache.load(a, 0, 16)
+        cache.load(b, 0, 16)
+        space.free(a)
+        cache.load(b, 0, 16)
+        assert counters(cache) == (2, 4, 0)

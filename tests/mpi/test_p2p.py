@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, Request
+from repro.mpi.constants import ERRORS_RAISE, ERRORS_RETURN
 from repro.network import quadrics_like, seastar_portals
+from repro.rma import RmaError
 from repro.runtime import World
 from repro.sim import SimulationError
 
@@ -182,3 +184,110 @@ def test_unordered_network_can_reorder_same_tag_messages():
     out = World(n_ranks=2, network=quadrics_like(), seed=5).run(program, 40)
     assert sorted(out[1]) == list(range(40))
     assert out[1] != list(range(40))
+
+
+@pytest.mark.parametrize("handler", [ERRORS_RAISE, ERRORS_RETURN])
+class TestPayloadsHoldingErrorsArriveUnchanged:
+    """A received object is data: an RmaError inside it is not a failure
+    of the receive, under either error handler."""
+
+    def payload(self):
+        return ["ok", RmaError("x")]
+
+    def check(self, got):
+        assert got[0] == "ok"
+        assert isinstance(got[1], RmaError) and str(got[1]) == "x"
+
+    def test_recv(self, handler):
+        def program(ctx):
+            if ctx.rank == 0:
+                yield from ctx.comm.send(self.payload(), dest=1)
+                return None
+            return (yield from ctx.comm.recv(source=0))
+
+        self.check(World(n_ranks=2, rma_errhandler=handler).run(program)[1])
+
+    def test_bare_error_payload(self, handler):
+        def program(ctx):
+            if ctx.rank == 0:
+                yield from ctx.comm.send(RmaError("bare"), dest=1)
+                return None
+            req = ctx.comm.irecv(source=0)
+            got = yield from req.wait()
+            return got, req.state, req.error
+
+        got, state, error = World(n_ranks=2, rma_errhandler=handler).run(
+            program)[1]
+        assert isinstance(got, RmaError) and str(got) == "bare"
+        assert state == "complete" and error is None
+
+    def test_irecv_wait_and_waitall(self, handler):
+        def program(ctx):
+            if ctx.rank == 0:
+                sreqs = []
+                for tag in (1, 2):
+                    sreqs.append((yield from ctx.comm.isend(
+                        self.payload(), dest=1, tag=tag)))
+                yield from Request.waitall(sreqs)
+                return None
+            r1 = ctx.comm.irecv(source=0, tag=1)
+            r2 = ctx.comm.irecv(source=0, tag=2)
+            one = yield from r1.wait()
+            both = yield from Request.waitall([r1, r2])
+            return one, both, r2.state
+
+        one, both, state = World(n_ranks=2, rma_errhandler=handler).run(
+            program)[1]
+        self.check(one)
+        for got in both:
+            self.check(got)
+        assert state == "complete"
+
+    def test_bcast_of_error_list(self, handler):
+        def program(ctx):
+            obj = self.payload() if ctx.rank == 0 else None
+            return (yield from ctx.comm.bcast(obj, root=0))
+
+        for got in World(n_ranks=4, rma_errhandler=handler).run(program):
+            self.check(got)
+
+
+class TestRmaRequestsStillFail:
+    """Failure-as-value keeps its meaning for RMA requests."""
+
+    def failed_request(self, sim, value):
+        req = Request(sim, kind="put")
+        req.event.succeed(value)
+        return req
+
+    def drive(self, handler, gen):
+        w = World(n_ranks=1, rma_errhandler=handler)
+        out = []
+
+        def program(ctx):
+            out.append((yield from gen(ctx.sim)))
+
+        w.run(program)
+        return out[0]
+
+    def test_raise_handler_raises(self):
+        err = RmaError("boom")
+
+        def gen(sim):
+            return (yield from self.failed_request(sim, [None, err]).wait())
+
+        with pytest.raises(RmaError, match="boom"):
+            self.drive(ERRORS_RAISE, gen)
+
+    def test_return_handler_returns_error(self):
+        err = RmaError("boom")
+
+        def gen(sim):
+            req = self.failed_request(sim, err)
+            got = yield from req.wait()
+            vals = yield from Request.waitall([req])
+            return got, vals, req.state, req.error
+
+        got, vals, state, error = self.drive(ERRORS_RETURN, gen)
+        assert got is err and vals == [err]
+        assert state == "failed" and error is err

@@ -1,8 +1,8 @@
-"""Tests for Resource, Semaphore, Store, Channel."""
+"""Tests for Resource, Semaphore, Store."""
 
 import pytest
 
-from repro.sim import Channel, Resource, Semaphore, Simulator, Store
+from repro.sim import Resource, Semaphore, Simulator, Store
 
 
 @pytest.fixture
@@ -217,76 +217,3 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.peek_all() == [1, 2]
-
-
-class TestChannel:
-    def test_predicate_matching_buffered(self, sim):
-        ch = Channel(sim)
-        ch.put({"tag": 1})
-        ch.put({"tag": 2})
-
-        def job(sim):
-            m = yield from ch.get(lambda m: m["tag"] == 2)
-            return m
-
-        assert sim.run_until_complete(sim.spawn(job(sim)))["tag"] == 2
-        assert len(ch) == 1  # tag 1 still buffered
-
-    def test_predicate_matching_waiting_getter(self, sim):
-        ch = Channel(sim)
-        got = []
-
-        def job(sim, tag):
-            m = yield from ch.get(lambda m, tag=tag: m["tag"] == tag)
-            got.append((tag, sim.now))
-
-        sim.spawn(job(sim, 5))
-        sim.spawn(job(sim, 3))
-        sim.schedule(1, lambda: ch.put({"tag": 3}))
-        sim.schedule(2, lambda: ch.put({"tag": 5}))
-        sim.run()
-        assert got == [(3, 1), (5, 2)]
-
-    def test_unmatched_put_buffers(self, sim):
-        ch = Channel(sim)
-
-        def job(sim):
-            yield from ch.get(lambda m: m == "wanted")
-
-        sim.spawn(job(sim))
-        sim.schedule(1, lambda: ch.put("unwanted"))
-        sim.run()
-        assert len(ch) == 1
-
-    def test_none_predicate_matches_anything(self, sim):
-        ch = Channel(sim)
-        ch.put("anything")
-
-        def job(sim):
-            return (yield from ch.get())
-
-        assert sim.run_until_complete(sim.spawn(job(sim))) == "anything"
-
-    def test_fifo_among_equal_matchers(self, sim):
-        """MPI non-overtaking: first-posted matching receive wins."""
-        ch = Channel(sim)
-        got = []
-
-        def job(sim, name):
-            m = yield from ch.get(lambda m: True)
-            got.append((name, m))
-
-        sim.spawn(job(sim, "r0"))
-        sim.spawn(job(sim, "r1"))
-        sim.schedule(1, lambda: ch.put("m0"))
-        sim.schedule(1, lambda: ch.put("m1"))
-        sim.run()
-        assert got == [("r0", "m0"), ("r1", "m1")]
-
-    def test_try_get_with_predicate(self, sim):
-        ch = Channel(sim)
-        ch.put(10)
-        ch.put(20)
-        assert ch.try_get(lambda x: x > 15) == 20
-        assert ch.try_get(lambda x: x > 15) is None
-        assert ch.try_get() == 10
